@@ -22,7 +22,6 @@
 #include "core/evaluator_pool.h"
 #include "core/evolution.h"
 #include "core/generators.h"
-#include "core/kernels.h"
 #include "core/mutator.h"
 #include "core/pruning.h"
 #include "ga/expr.h"
@@ -162,9 +161,9 @@ BENCHMARK(BM_ExecutorSharded)
 
 // --- Fused segment kernels vs reference interpreter (BENCH_4.json) --------
 // One candidate's full lockstep execution over the 1100-task universe:
-// interpreter (per-instruction switch sweeping all task state once per
-// instruction) vs fused micro-op kernels (whole segment over a
-// cache-resident block of tasks, branch-free dispatch, persistent arena
+// interpreter (scalar kernels one task at a time, sweeping all task state
+// once per instruction) vs fused micro-op kernels (whole segment over a
+// cache-resident block of tasks on the dispatched variant, persistent arena
 // workers between segments). Results are bit-identical (fused_parity_test),
 // so `speedup_vs_interpreter` — fused cands/sec over the interpreter run at
 // the same thread count — is pure kernel/locality/barrier gain.
@@ -258,9 +257,9 @@ BENCHMARK(BM_FusedSegment)
     ->UseRealTime();
 
 // --- Blocked matmul kernel (BENCH_4.json) ---------------------------------
-// The shared n×n kernel both executor paths call, against the naive ijk
-// triple loop it replaced (bit-identical accumulation order, so the
-// `gflops_proxy` gap is free). n = 13 is the paper's feature/window shape;
+// The scalar variant's table matmul — the n×n kernel the interpreter runs —
+// against the naive ijk triple loop it replaced (bit-identical accumulation
+// order, so the `gflops_proxy` gap is free). n = 13 is the paper's feature/window shape;
 // 32 shows the blocking effect once operands outgrow L1.
 
 void NaiveMatMul(const double* a, const double* b, double* out, int n) {
@@ -282,9 +281,11 @@ void BM_BlockedMatMul(benchmark::State& state) {
   std::vector<double> out(static_cast<size_t>(n) * n);
   for (double& x : a) x = rng.Gaussian();
   for (double& x : b) x = rng.Gaussian();
+  const auto matmul =
+      core::GetKernelTable(core::KernelVariant::kScalar)->matmul;
   for (auto _ : state) {
     if (blocked) {
-      core::MatMulBlocked(a.data(), b.data(), out.data(), n);
+      matmul(a.data(), b.data(), out.data(), n);
     } else {
       NaiveMatMul(a.data(), b.data(), out.data(), n);
     }
@@ -412,29 +413,18 @@ void RegisterDispatchedMatMul() {
   }
 }
 
-// --- Relation ops: in-plan micro-phases vs barrier path (BENCH_6.json) ----
+// --- Relation ops: group-parallel relation rounds (BENCH_6.json) ----------
 // A relation-heavy candidate (three relation families splitting the predict
-// component into four fused segments) over the 1100-task universe. The
-// barrier path (PR 4: serial whole-universe gather, group-parallel rank
-// round, serial scatter — per relation) registers first; the in-plan path
-// executes each relation as pre-partitioned per-group gather → rank/demean
-// → scatter inside one arena round. `speedup_vs_barrier` at the same thread
-// count is the lowering gain; results are bit-identical either way
-// (fused_parity_test), and `cpu_ms_per_cand` is the number to read on a
-// 1-core box.
-
-std::map<int, double>& BarrierRelationCandsPerSec() {
-  static auto* baselines = new std::map<int, double>();
-  return *baselines;
-}
+// component into four fused segments) over the 1100-task universe. Each
+// relation executes as pre-partitioned per-group gather → rank/demean →
+// scatter inside one arena round; `cpu_ms_per_cand` is the number to read
+// on a 1-core box.
 
 void BM_FusedRelationSegment(benchmark::State& state) {
-  const bool in_plan = state.range(0) != 0;
-  const int threads = static_cast<int>(state.range(1));
+  const int threads = static_cast<int>(state.range(0));
   const auto& ds = BenchDataset(1100);
   core::ExecutorConfig cfg;
   cfg.intra_candidate_threads = threads;
-  cfg.relation_in_plan = in_plan;
   core::Executor exec(ds, cfg);
   core::AlphaProgram prog = core::MakeExpertAlpha(ds.window());
   auto push_rel = [&prog](core::Op op, int out, int in1, int industry) {
@@ -476,21 +466,12 @@ void BM_FusedRelationSegment(benchmark::State& state) {
     state.counters["cands_per_sec"] = cands_per_sec;
     state.counters["cpu_ms_per_cand"] =
         1e3 * cpu_seconds / static_cast<double>(runs);
-    if (!in_plan) {
-      BarrierRelationCandsPerSec()[threads] = cands_per_sec;
-    } else if (BarrierRelationCandsPerSec().count(threads) > 0) {
-      state.counters["speedup_vs_barrier"] =
-          cands_per_sec / BarrierRelationCandsPerSec()[threads];
-    }
   }
 }
 BENCHMARK(BM_FusedRelationSegment)
-    ->Args({0, 1})  // barrier baselines register first
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 8})
-    ->Args({1, 8})
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -20,9 +20,9 @@
 #   BENCH_6.json — runtime-dispatched kernel variants
 #                  (BM_DispatchedMatMul: the per-ISA matmul tables vs the
 #                  scalar reference, registered for exactly the variants
-#                  this host can run) and relation-in-plan lowering
-#                  (BM_FusedRelationSegment: relation micro-phases inside
-#                  the arena schedule vs the per-relation barrier path)
+#                  this host can run) and relation rounds
+#                  (BM_FusedRelationSegment: a relation-heavy candidate's
+#                  group-parallel relation rounds at 1/4/8 threads)
 #   BENCH_7.json — stress-in-the-loop mining (BM_ScenarioFitness: cands/sec
 #                  mining against the full 7-regime suite, copy-on-write
 #                  overlay panels vs materialized ones — peak panel bytes +

@@ -11,7 +11,6 @@
 #include "core/fused.h"
 #include "core/program.h"
 #include "market/dataset.h"
-#include "util/rng.h"
 #include "util/threadpool.h"
 
 namespace alphaevolve::core {
@@ -42,16 +41,16 @@ struct ExecutorConfig {
   /// tests) to force the concurrent group path on small datasets.
   int group_parallel_min_tasks = 1024;
 
-  /// Compile each element-wise segment once per Run into a fused micro-op
-  /// kernel (pre-resolved operand offsets, branch-free function-pointer
-  /// dispatch) executed block-at-a-time, so a cache-resident block of tasks
-  /// runs the *whole segment* before the next block is touched — one pass
-  /// of task state through L1/L2 per segment instead of one per
-  /// instruction. Bit-identical to the interpreter path (element-wise ops
-  /// have no cross-task reductions, so neither fusion nor blocking can
-  /// reorder any per-task FP sequence); disable to run the reference
-  /// interpreter, e.g. when bisecting a suspected kernel bug or adding a
-  /// new op whose fused lowering does not exist yet.
+  /// Execute each compiled element-wise segment block-at-a-time on the
+  /// dispatched kernel variant, so a cache-resident block of tasks runs the
+  /// *whole segment* before the next block is touched — one pass of task
+  /// state through L1/L2 per segment instead of one per instruction.
+  /// Bit-identical to the interpreter path (element-wise ops have no
+  /// cross-task reductions, so neither fusion nor blocking can reorder any
+  /// per-task FP sequence). Disable to run the reference interpreter: the
+  /// same lowering, but each instruction task-at-a-time on the scalar
+  /// kernels with a standalone input refresh — e.g. when bisecting a
+  /// suspected SIMD-variant or blocking bug.
   bool fuse_segments = true;
 
   /// Tasks per cache block in the fused path (0 = auto: sized so a block's
@@ -67,15 +66,9 @@ struct ExecutorConfig {
   /// bit-identical (kernels vectorize only across independent output
   /// elements); the knob exists for benchmarking and the parity fuzz suite.
   /// A requested variant this build or machine cannot run falls back to
-  /// scalar with a warning (see core/dispatch.h).
+  /// scalar with a warning (see core/dispatch.h). The interpreter ignores
+  /// it and always runs the scalar kernels.
   std::string kernel_variant;
-
-  /// Execute relation ops through their in-plan lowering: gather →
-  /// per-group rank/demean → scatter as one group-parallel arena round,
-  /// instead of the serial whole-universe gather/scatter around a
-  /// group-only round (the pre-tier-2 path, kept for comparison).
-  /// Bit-identical either way.
-  bool relation_in_plan = true;
 };
 
 /// Output of one full run: predictions per evaluation date per task.
@@ -111,17 +104,17 @@ struct ExecutionResult {
 /// task, element), so results are deterministic in the seed and invariant
 /// to both the thread count and the shard size.
 ///
-/// Kernel path: with `fuse_segments` (the default) each component is
-/// lowered once per Run into fused micro-op segments (core/fused.h) that a
-/// shard executes block-at-a-time, fetching every kernel — element-wise,
+/// Kernel path: each component is lowered once per Run (core/fused.h) into
+/// micro-op segments whose kernels come from the op table
+/// (core/op_table.inc), separated by relation plans. Every relation op runs
+/// as one group-parallel arena round doing gather → rank/demean → scatter
+/// per group. With `fuse_segments` (the default) a shard executes each
+/// segment block-at-a-time, fetching every kernel — element-wise,
 /// matmul/matvec/transpose, the fused input refresh — from the per-ISA
 /// kernel table resolved at construction (core/dispatch.h); with it off,
-/// the original switch interpreter runs instruction-at-a-time as the
-/// bit-identical reference using the fixed generic kernels (core/kernels.h).
-/// Relation ops on the fused path execute through their in-plan lowering
-/// (`relation_in_plan`): one group-parallel arena round doing gather →
-/// rank/demean → scatter per group, instead of serial whole-universe
-/// sweeps around a group-only barrier round.
+/// the interpreter runs each instruction task-at-a-time on the scalar
+/// kernels after a standalone input refresh, as the bit-identical
+/// reference for loop order, ISA and refresh.
 ///
 /// Shard workers: a parallel Run parks a `ShardArena` of persistent helpers
 /// on the pool for its whole duration — per-segment fan-out is then one
@@ -168,9 +161,6 @@ class Executor {
 
  private:
   double* Scalars(int task) { return scalars_.data() + task * num_scalars_; }
-  double* Vec(int task, int i) {
-    return vectors_.data() + (static_cast<size_t>(task) * num_vectors_ + i) * n_;
-  }
   double* Mat(int task, int i) {
     return matrices_.data() +
            (static_cast<size_t>(task) * num_matrices_ + i) * n_ * n_;
@@ -194,38 +184,33 @@ class Executor {
   void ParallelForItems(int n, const std::function<void(int)>& fn);
   void RefreshInputs(int date);
   void RecordHistory();
-  /// Executes one element-wise instruction for tasks [t0, t1). `draw_id` is
-  /// the instruction's serial random-draw id (unused for non-random ops).
-  void ExecInstructionRange(const Instruction& ins, int t0, int t1,
-                            uint64_t draw_id);
-  void ExecRelation(const Instruction& ins);
-  /// Executes a relation op through its in-plan lowering: one group-parallel
-  /// round where each group gathers its members' input scalar, ranks or
-  /// demeans, and scatters the result — no whole-universe serial sweeps.
+  /// Executes a relation op: one group-parallel round where each group
+  /// gathers its members' input scalar, ranks or demeans, and scatters the
+  /// result.
   void ExecRelationPlan(const RelationPlan& plan);
   /// Rank/demean over one group's members, reading rel_in_ and writing
   /// rel_out_ at member indices only; `order_scratch` is a caller-provided
   /// slice with space for the group's member count.
   void RankGroup(const int* members, int count, int* order_scratch);
   void DemeanGroup(const int* members, int count);
-  /// Executes instrs[begin, end) — all element-wise — for every task, with
-  /// one shard barrier for the whole segment (interpreter path).
-  void ExecShardedSegment(const std::vector<Instruction>& instrs,
-                          size_t begin, size_t end);
-  /// Executes one compiled segment: stamps draw ids, then every shard walks
-  /// its tasks block-at-a-time through the whole micro-op list (fused path).
+  /// Kernel context for the shard whose range starts at `t0`.
+  MicroCtx MakeCtx(int t0);
+  /// Interpreter walk of one segment: every shard runs each micro-op over
+  /// its tasks one task at a time (reference path).
+  void ExecInterpretedSegment(const FusedSegment& segment);
+  /// Executes one compiled segment: every shard walks its tasks
+  /// block-at-a-time through the whole micro-op list (fused path).
   /// `refresh_date >= 0` prepends the input-matrix fill for that date to
   /// each block — the per-date m0 refresh rides the segment's cache pass
   /// instead of sweeping task state separately (bit-identical: the fill
   /// writes only the block's own m0 slots, which no other task reads).
-  void ExecFusedSegment(FusedSegment& segment, int refresh_date = -1);
-  /// Interpreter walk of a raw component (reference path).
-  void ExecComponent(const std::vector<Instruction>& instrs);
-  /// Fused walk of a compiled component (hot path). `refresh_date >= 0`
-  /// fuses RefreshInputs(date) into the first piece when it is an
-  /// element-wise segment (the common predict shape), saving one full
-  /// barrier + task-state sweep per date; when the component starts with a
-  /// relation op (or is empty), the refresh runs standalone first.
+  void ExecFusedSegment(const FusedSegment& segment, int refresh_date = -1);
+  /// Walks a compiled component on either path, stamping random draw ids
+  /// per segment. `refresh_date >= 0` refreshes m0 for that date first; the
+  /// fused path folds it into the first piece when that is an element-wise
+  /// segment (the common predict shape), saving one full barrier +
+  /// task-state sweep per date; the interpreter, or a component that starts
+  /// with a relation op (or is empty), runs the standalone refresh.
   void ExecCompiled(CompiledComponent& compiled, int refresh_date = -1);
   /// True iff every task's s1 is finite.
   bool PredictionsFinite();
@@ -242,12 +227,13 @@ class Executor {
   int shard_size_ = 0;
   int num_shards_ = 1;
 
-  // Fused-kernel path. The compiled components are rebuilt at each Run from
-  // the program (capacity reused); block_size_ tasks stay cache-hot across
-  // one whole segment. ktable_ is the per-ISA kernel table resolved once at
-  // construction (core/dispatch.h); every variant is bit-identical. arena_
-  // points at the Run-scoped worker arena while a parallel Run is in flight
-  // (see RunArenaScope in executor.cc).
+  // Compiled program. The components are rebuilt at each Run from the
+  // program (capacity reused); on the fused path block_size_ tasks stay
+  // cache-hot across one whole segment. ktable_ is the per-ISA kernel table
+  // resolved once at construction (core/dispatch.h; always scalar for the
+  // interpreter); every variant is bit-identical. arena_ points at the
+  // Run-scoped worker arena while a parallel Run is in flight (see
+  // RunArenaScope in executor.cc).
   bool fuse_ = true;
   int block_size_ = 1;
   const KernelTable* ktable_ = nullptr;
@@ -261,7 +247,6 @@ class Executor {
   // task, element) key never depends on scheduling.
   uint64_t run_seed_ = 0;
   uint64_t draw_counter_ = 0;
-  std::vector<uint64_t> segment_draw_ids_;  // scratch, indexed per segment
 
   // Structure-of-arrays scratch, task-major.
   std::vector<double> scalars_;

@@ -1,9 +1,8 @@
-// Lowering for the executor's fused segment path. The micro-op kernel
-// *bodies* live in core/kernels_impl.inc, compiled once per ISA variant
-// (core/kernels_<variant>.cc) — here each instruction is mapped once to a
-// MicroKernelId and resolved through the caller's KernelTable, so the Op
-// switch (and the variant choice) happens at compile time, never during
-// execution.
+// The one lowering in front of both execution paths. Each instruction is
+// mapped once, at compile time, to its op-table kernel in the caller's
+// KernelTable — the kernel *bodies* live in core/kernels_impl.inc, compiled
+// once per ISA variant — so no op switch (and no variant choice) happens
+// during execution.
 
 #include "core/fused.h"
 
@@ -31,155 +30,63 @@ int SlotOffset(OperandType space, int slot, int n) {
   return 0;
 }
 
-/// Selects the kernel slot and applies per-op fixups (pre-clamped indices,
-/// m0 operand, aliasing variant). One switch per instruction, at compile
-/// time — never again during execution.
-MicroOp LowerOne(const Instruction& ins, int n, int hist_cap,
-                 const KernelTable& table) {
-  const OpInfo& info = GetOpInfo(ins.op);
+void CheckOperands(const Instruction& ins, const OpInfo& info,
+                   const ProgramLimits& limits) {
+  const auto in_range = [&](OperandType kind, int addr) {
+    return kind == OperandType::kNone || addr < limits.NumAddresses(kind);
+  };
+  AE_CHECK_MSG(in_range(info.out, ins.out) && in_range(info.in1, ins.in1) &&
+                   in_range(info.in2, ins.in2),
+               "operand address out of range in '" << ins.ToString() << "'");
+}
+
+/// Resolves operand offsets and applies the per-op index fix-ups the
+/// kernels rely on (extraction indices wrapped, the m0 operand, the ts-rank
+/// window clamped).
+MicroOp LowerOne(const Instruction& ins, const OpInfo& info, int n,
+                 int hist_cap, const KernelTable& table) {
   MicroOp m;
+  m.fn = table.micro[static_cast<int>(ins.op)];
+  AE_CHECK_MSG(m.fn != nullptr, "no micro kernel for " << info.name);
   m.out = SlotOffset(info.out, ins.out, n);
-  m.in1 = SlotOffset(info.in1, ins.in1, n);
+  m.in1 = info.reads_m0 ? kInputMatrix * n * n
+                        : SlotOffset(info.in1, ins.in1, n);
   m.in2 = SlotOffset(info.in2, ins.in2, n);
   m.idx0 = ins.idx0;
   m.idx1 = ins.idx1;
   m.imm0 = ins.imm0;
   m.imm1 = ins.imm1;
-
-  MicroKernelId id = MicroKernelId::kNumMicroKernels;
   switch (ins.op) {
-    case Op::kScalarConst:      id = MicroKernelId::kSConst; break;
-    case Op::kScalarAdd:        id = MicroKernelId::kSAdd; break;
-    case Op::kScalarSub:        id = MicroKernelId::kSSub; break;
-    case Op::kScalarMul:        id = MicroKernelId::kSMul; break;
-    case Op::kScalarDiv:        id = MicroKernelId::kSDiv; break;
-    case Op::kScalarMin:        id = MicroKernelId::kSMin; break;
-    case Op::kScalarMax:        id = MicroKernelId::kSMax; break;
-    case Op::kScalarAbs:        id = MicroKernelId::kSAbs; break;
-    case Op::kScalarReciprocal: id = MicroKernelId::kSRecip; break;
-    case Op::kScalarSin:        id = MicroKernelId::kSSin; break;
-    case Op::kScalarCos:        id = MicroKernelId::kSCos; break;
-    case Op::kScalarTan:        id = MicroKernelId::kSTan; break;
-    case Op::kScalarArcSin:     id = MicroKernelId::kSArcSin; break;
-    case Op::kScalarArcCos:     id = MicroKernelId::kSArcCos; break;
-    case Op::kScalarArcTan:     id = MicroKernelId::kSArcTan; break;
-    case Op::kScalarExp:        id = MicroKernelId::kSExp; break;
-    case Op::kScalarLog:        id = MicroKernelId::kSLog; break;
-    case Op::kScalarHeaviside:  id = MicroKernelId::kSStep; break;
-
-    case Op::kVectorConst:      id = MicroKernelId::kVConst; break;
-    case Op::kVectorScale:      id = MicroKernelId::kVScale; break;
-    case Op::kVectorBroadcast:  id = MicroKernelId::kVBroadcast; break;
-    case Op::kVectorReciprocal: id = MicroKernelId::kVRecip; break;
-    case Op::kVectorAbs:        id = MicroKernelId::kVAbs; break;
-    case Op::kVectorHeaviside:  id = MicroKernelId::kVStep; break;
-    case Op::kVectorAdd:        id = MicroKernelId::kVAdd; break;
-    case Op::kVectorSub:        id = MicroKernelId::kVSub; break;
-    case Op::kVectorMul:        id = MicroKernelId::kVMul; break;
-    case Op::kVectorDiv:        id = MicroKernelId::kVDiv; break;
-    case Op::kVectorMin:        id = MicroKernelId::kVMin; break;
-    case Op::kVectorMax:        id = MicroKernelId::kVMax; break;
-    case Op::kVectorDot:        id = MicroKernelId::kVDot; break;
-    case Op::kVectorOuter:      id = MicroKernelId::kVOuter; break;
-    case Op::kVectorNorm:       id = MicroKernelId::kVNorm; break;
-    case Op::kVectorMean:       id = MicroKernelId::kVMean; break;
-    case Op::kVectorStd:        id = MicroKernelId::kVStd; break;
-    case Op::kVectorUniform:    id = MicroKernelId::kVUniform; break;
-    case Op::kVectorGaussian:   id = MicroKernelId::kVGaussian; break;
-
-    case Op::kMatrixConst:      id = MicroKernelId::kMConst; break;
-    case Op::kMatrixScale:      id = MicroKernelId::kMScale; break;
-    case Op::kMatrixReciprocal: id = MicroKernelId::kMRecip; break;
-    case Op::kMatrixAbs:        id = MicroKernelId::kMAbs; break;
-    case Op::kMatrixHeaviside:  id = MicroKernelId::kMStep; break;
-    case Op::kMatrixAdd:        id = MicroKernelId::kMAdd; break;
-    case Op::kMatrixSub:        id = MicroKernelId::kMSub; break;
-    case Op::kMatrixMul:        id = MicroKernelId::kMMul; break;
-    case Op::kMatrixDiv:        id = MicroKernelId::kMDiv; break;
-    case Op::kMatrixMin:        id = MicroKernelId::kMMin; break;
-    case Op::kMatrixMax:        id = MicroKernelId::kMMax; break;
-    case Op::kMatrixMatMul:
-      id = (ins.out == ins.in1 || ins.out == ins.in2)
-               ? MicroKernelId::kMMatMulScratch
-               : MicroKernelId::kMMatMulDirect;
-      break;
-    case Op::kMatrixVectorProduct:
-      id = ins.out == ins.in2 ? MicroKernelId::kMMatVecScratch
-                              : MicroKernelId::kMMatVecDirect;
-      break;
-    case Op::kMatrixTranspose:
-      id = ins.out == ins.in1 ? MicroKernelId::kMTransposeScratch
-                              : MicroKernelId::kMTransposeDirect;
-      break;
-    case Op::kMatrixNorm:       id = MicroKernelId::kMNorm; break;
-    case Op::kMatrixMean:       id = MicroKernelId::kMMean; break;
-    case Op::kMatrixStd:        id = MicroKernelId::kMStd; break;
-    case Op::kMatrixNormAxis:
-      id = ins.idx0 == 0 ? MicroKernelId::kMNormAxisCol
-                         : MicroKernelId::kMNormAxisRow;
-      break;
-    case Op::kMatrixMeanAxis:
-      id = ins.idx0 == 0 ? MicroKernelId::kMMeanAxisCol
-                         : MicroKernelId::kMMeanAxisRow;
-      break;
-    case Op::kMatrixBroadcast:
-      id = ins.idx0 == 0 ? MicroKernelId::kMBroadcastRows
-                         : MicroKernelId::kMBroadcastCols;
-      break;
-    case Op::kMatrixUniform:    id = MicroKernelId::kMUniform; break;
-    case Op::kMatrixGaussian:   id = MicroKernelId::kMGaussian; break;
-
     case Op::kGetScalar:
-      id = MicroKernelId::kGetScalar;
-      m.in1 = kInputMatrix * n * n;
       m.idx0 = (ins.idx0 % n) * n + (ins.idx1 % n);
       break;
     case Op::kGetRow:
-      id = MicroKernelId::kGetRow;
-      m.in1 = kInputMatrix * n * n;
       m.idx0 = (ins.idx0 % n) * n;
       break;
     case Op::kGetColumn:
-      id = MicroKernelId::kGetColumn;
-      m.in1 = kInputMatrix * n * n;
       m.idx0 = ins.idx0 % n;
       break;
-
     case Op::kTsRank:
-      id = MicroKernelId::kTsRank;
-      m.idx0 = std::max(2, std::min<int>(ins.idx0, hist_cap));
+      m.idx0 = std::clamp<int>(ins.idx0, 2, hist_cap);
       break;
-
-    case Op::kNoOp:
-    case Op::kRank:
-    case Op::kRelationRank:
-    case Op::kRelationDemean:
-    case Op::kNumOps:
-      AE_CHECK_MSG(false, "op does not lower to a micro-op");
+    default:
+      break;
   }
-  // A new element-wise op whose case is missing above falls through with
-  // the sentinel id; refuse loudly here instead of crashing at dispatch.
-  AE_CHECK_MSG(id != MicroKernelId::kNumMicroKernels,
-               "no fused lowering for op");
-  m.fn = table.micro[static_cast<int>(id)];
-  AE_CHECK_MSG(m.fn != nullptr, "kernel table is missing a micro kernel");
   return m;
 }
 
-/// Resolves a relation instruction into its pre-partitioned group list.
-RelationPlan LowerRelation(const Instruction& ins,
-                           const RelationGroupSets* rel_groups) {
+/// Resolves a relation instruction into its pre-partitioned group list:
+/// grouped ops pick sector (idx0 == 0) or industry, the rest rank globally.
+RelationPlan LowerRelation(const Instruction& ins, const OpInfo& info,
+                           const RelationGroupSets& rel_groups) {
   RelationPlan plan;
   plan.op = ins.op;
   plan.in1 = ins.in1;
   plan.out = ins.out;
-  if (rel_groups != nullptr) {
-    if (ins.op == Op::kRank) {
-      plan.groups = &rel_groups->global;
-    } else {
-      plan.groups =
-          ins.idx0 == 0 ? &rel_groups->sector : &rel_groups->industry;
-    }
+  if (info.imm != ImmKind::kGroup) {
+    plan.groups = &rel_groups.global;
+  } else {
+    plan.groups = ins.idx0 == 0 ? &rel_groups.sector : &rel_groups.industry;
   }
   return plan;
 }
@@ -187,31 +94,30 @@ RelationPlan LowerRelation(const Instruction& ins,
 }  // namespace
 
 void CompileComponent(const std::vector<Instruction>& instrs, int n,
-                      int hist_cap, const KernelTable& table,
-                      const RelationGroupSets* rel_groups,
+                      int hist_cap, const ProgramLimits& limits,
+                      const KernelTable& table,
+                      const RelationGroupSets& rel_groups,
                       CompiledComponent* out) {
   out->Clear();
   FusedSegment* current = nullptr;
   for (const Instruction& ins : instrs) {
-    const MicroOpInfo& micro = GetMicroOpInfo(ins.op);
-    if (GetOpInfo(ins.op).is_relation) {
+    const OpInfo& info = GetOpInfo(ins.op);
+    CheckOperands(ins, info, limits);
+    if (info.is_relation) {
       current = nullptr;  // a relation op closes the running segment
-      out->pieces.push_back(
-          {true, static_cast<int>(out->relations.size())});
-      out->relations.push_back(ins);
-      out->relation_plans.push_back(LowerRelation(ins, rel_groups));
+      out->pieces.push_back({true, static_cast<int>(out->relations.size())});
+      out->relations.push_back(LowerRelation(ins, info, rel_groups));
       continue;
     }
-    if (!micro.fusable) continue;  // kNoOp lowers to nothing
+    if (ins.op == Op::kNoOp) continue;
     if (current == nullptr) {
-      out->pieces.push_back(
-          {false, static_cast<int>(out->segments.size())});
+      out->pieces.push_back({false, static_cast<int>(out->segments.size())});
       current = &out->segments.emplace_back();
     }
-    if (micro.takes_draw_id) {
+    if (info.is_random) {
       current->random_ops.push_back(static_cast<int>(current->ops.size()));
     }
-    current->ops.push_back(LowerOne(ins, n, hist_cap, table));
+    current->ops.push_back(LowerOne(ins, info, n, hist_cap, table));
   }
 }
 

@@ -16,9 +16,10 @@ namespace alphaevolve::core {
 // per-ISA variant translation units can implement the kernels without
 // pulling in the lowering layer.
 
-/// A maximal run of element-wise instructions, compiled for block-at-a-time
-/// execution: the executor walks a cache-resident block of tasks through
-/// *all* ops of the segment before advancing to the next block.
+/// A maximal run of element-wise instructions between relation ops. The
+/// fused path walks a cache-resident block of tasks through *all* ops of
+/// the segment before advancing to the next block; the interpreter runs
+/// each op over its shard one task at a time.
 struct FusedSegment {
   std::vector<MicroOp> ops;
   /// Indices into `ops` needing a fresh serial draw id per execution.
@@ -49,9 +50,7 @@ struct RelationGroupSets {
 /// A relation op lowered into the compiled plan: gather → per-group
 /// rank/demean → scatter runs as *one* group-parallel round on the shard
 /// arena (each group's work item gathers its members' input scalar, ranks
-/// or demeans, and scatters the result), instead of the interpreter's
-/// serial whole-universe gather, a barrier round for the groups, and a
-/// serial whole-universe scatter.
+/// or demeans, and scatters the result).
 struct RelationPlan {
   Op op = Op::kRank;
   int32_t in1 = 0;
@@ -60,43 +59,39 @@ struct RelationPlan {
   const std::vector<RelationGroup>* groups = nullptr;
 };
 
-/// A compiled component: fused segments and the relation pieces that
-/// separate them, in program order. Each relation piece carries both its
-/// raw instruction (the barrier execution path, kept as the bit-identical
-/// reference) and its in-plan lowering (the hot path).
+/// A compiled component: fused segments and the relation plans that
+/// separate them, in program order.
 struct CompiledComponent {
   struct Piece {
     bool is_relation;
-    int index;  ///< into `segments` or `relations`/`relation_plans`
+    int index;  ///< into `segments` or `relations`
   };
   std::vector<Piece> pieces;
   std::vector<FusedSegment> segments;
-  std::vector<Instruction> relations;
-  std::vector<RelationPlan> relation_plans;  ///< parallel to `relations`
+  std::vector<RelationPlan> relations;
 
   void Clear() {
     pieces.clear();
     segments.clear();
     relations.clear();
-    relation_plans.clear();
   }
 };
 
 /// Lowers `instrs` into `out` (cleared first; capacity reused across Runs)
-/// for window dimension `n` and a ts-rank history capacity of `hist_cap`.
-/// Segmentation follows GetMicroOpInfo: every fusable op joins the current
-/// segment, relation ops close it, kNoOp lowers to nothing. Aliasing
-/// matmul/matvec/transpose lower to scratch-writing kernel variants; the
-/// non-aliasing ones write their destination directly.
+/// for window dimension `n` and a ts-rank history capacity of `hist_cap`:
+/// the one lowering both execution paths run. Every element-wise op joins
+/// the current segment as a micro-op whose kernel is the op table's entry
+/// in `table` (one per-ISA variant table per build; see core/dispatch.h),
+/// relation ops close it as a RelationPlan over `rel_groups`, and kNoOp
+/// lowers to nothing.
 ///
-/// Micro-op kernels are fetched from `table` (one per-ISA variant table per
-/// build; see core/dispatch.h) — the lowering itself is variant-agnostic.
-/// `rel_groups` supplies the pre-partitioned group sets for the in-plan
-/// relation lowering; it may be null when the caller only runs the barrier
-/// relation path (relation_plans then keep null group lists).
+/// Throws CheckError when an operand address is at or past its kind's
+/// limit in `limits`: program text and checkpoint payloads carry raw
+/// operand bytes, and an unchecked one would index past its task's slice.
 void CompileComponent(const std::vector<Instruction>& instrs, int n,
-                      int hist_cap, const KernelTable& table,
-                      const RelationGroupSets* rel_groups,
+                      int hist_cap, const ProgramLimits& limits,
+                      const KernelTable& table,
+                      const RelationGroupSets& rel_groups,
                       CompiledComponent* out);
 
 }  // namespace alphaevolve::core

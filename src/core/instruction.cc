@@ -25,6 +25,15 @@ Op OpByName(const std::string& name) {
   return Op::kNoOp;
 }
 
+/// Parses one operand address or index: a byte, as ToString writes it.
+/// Wrapping a larger value modulo 256 would silently address another
+/// operand.
+uint8_t ParseByte(const std::string& digits, const std::string& text) {
+  const int value = std::stoi(digits);
+  AE_CHECK_MSG(value >= 0 && value <= 255, "number out of range: " << text);
+  return static_cast<uint8_t>(value);
+}
+
 }  // namespace
 
 const char* OperandPrefix(OperandType type) {
@@ -114,7 +123,7 @@ Instruction Instruction::FromString(const std::string& text) {
   AE_CHECK_MSG(eq != std::string::npos, "missing '=': " << text);
   const std::string out_str = compact.substr(0, eq);
   AE_CHECK_MSG(out_str.size() >= 2, "bad output operand: " << text);
-  ins.out = static_cast<uint8_t>(std::stoi(out_str.substr(1)));
+  ins.out = ParseByte(out_str.substr(1), text);
 
   const size_t paren = compact.find('(', eq);
   AE_CHECK_MSG(paren != std::string::npos && compact.back() == ')',
@@ -155,17 +164,17 @@ Instruction Instruction::FromString(const std::string& text) {
     const size_t comma = inner.find(',');
     if (info.imm == ImmKind::kIndex2) {
       AE_CHECK_MSG(comma != std::string::npos, "expected m0[i,j]: " << text);
-      ins.idx0 = static_cast<uint8_t>(std::stoi(inner.substr(0, comma)));
-      ins.idx1 = static_cast<uint8_t>(std::stoi(inner.substr(comma + 1)));
+      ins.idx0 = ParseByte(inner.substr(0, comma), text);
+      ins.idx1 = ParseByte(inner.substr(comma + 1), text);
     } else {
-      ins.idx0 = static_cast<uint8_t>(std::stoi(inner));
+      ins.idx0 = ParseByte(inner, text);
     }
   }
   if (info.in1 != OperandType::kNone) {
-    ins.in1 = static_cast<uint8_t>(std::stoi(next().substr(1)));
+    ins.in1 = ParseByte(next().substr(1), text);
   }
   if (info.in2 != OperandType::kNone) {
-    ins.in2 = static_cast<uint8_t>(std::stoi(next().substr(1)));
+    ins.in2 = ParseByte(next().substr(1), text);
   }
   switch (info.imm) {
     case ImmKind::kConst:
@@ -178,7 +187,7 @@ Instruction Instruction::FromString(const std::string& text) {
     case ImmKind::kAxis: {
       const std::string tok = next();
       AE_CHECK_MSG(tok.rfind("axis=", 0) == 0, "expected axis=: " << text);
-      ins.idx0 = static_cast<uint8_t>(std::stoi(tok.substr(5)));
+      ins.idx0 = ParseByte(tok.substr(5), text);
       break;
     }
     case ImmKind::kGroup: {
@@ -191,7 +200,7 @@ Instruction Instruction::FromString(const std::string& text) {
     case ImmKind::kWindow: {
       const std::string tok = next();
       AE_CHECK_MSG(tok.rfind("w=", 0) == 0, "expected w=: " << text);
-      ins.idx0 = static_cast<uint8_t>(std::stoi(tok.substr(2)));
+      ins.idx0 = ParseByte(tok.substr(2), text);
       break;
     }
     case ImmKind::kNone:

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/opcode.h"
+
 namespace alphaevolve::core {
 
 /// Everything a micro-op kernel needs to address one task's state: base
@@ -38,9 +40,10 @@ using MicroKernelFn = void (*)(const MicroCtx&, const MicroOp&, int t0,
 /// One lowered element-wise instruction. Operand slots are pre-resolved to
 /// element offsets within a task's region of the owning array (which array
 /// each slot indexes is baked into the kernel: e.g. v_scale reads `in1`
-/// from the vector array and `in2` from the scalar array, exactly like its
-/// interpreter case). Immediates are copied and indices pre-clamped
-/// (extraction `% n`, ts-rank window), so the kernels branch only on data.
+/// from the vector array and `in2` from the scalar array, as its op-table
+/// row declares). Immediates are copied and indices pre-clamped (extraction
+/// `% n`, ts-rank window), so the kernels branch only on data and, once per
+/// call, on the op's axis or operand aliasing.
 /// `draw_id` is stamped serially by the driving thread before each
 /// execution of the enclosing segment (random ops only), keeping the
 /// (seed, draw id, task, element) CounterRng key schedule-independent.
@@ -55,42 +58,6 @@ struct MicroOp {
   double imm1 = 0.0;
   uint64_t draw_id = 0;
 };
-
-/// One slot per micro-op kernel the lowerer can select (core/fused.cc maps
-/// Op → MicroKernelId once, at compile time). Every kernel variant fills
-/// every slot, so a compiled program can be pointed at any variant's table.
-enum class MicroKernelId : int32_t {
-  // -- scalar ---------------------------------------------------------------
-  kSConst = 0,
-  kSAdd, kSSub, kSMul, kSDiv, kSMin, kSMax,
-  kSAbs, kSRecip, kSSin, kSCos, kSTan,
-  kSArcSin, kSArcCos, kSArcTan, kSExp, kSLog, kSStep,
-  // -- vector ---------------------------------------------------------------
-  kVConst, kVScale, kVBroadcast,
-  kVRecip, kVAbs, kVStep,
-  kVAdd, kVSub, kVMul, kVDiv, kVMin, kVMax,
-  kVDot, kVOuter, kVNorm, kVMean, kVStd,
-  kVUniform, kVGaussian,
-  // -- matrix ---------------------------------------------------------------
-  kMConst, kMScale,
-  kMRecip, kMAbs, kMStep,
-  kMAdd, kMSub, kMMul, kMDiv, kMMin, kMMax,
-  kMMatMulDirect, kMMatMulScratch,
-  kMMatVecDirect, kMMatVecScratch,
-  kMTransposeDirect, kMTransposeScratch,
-  kMNorm, kMMean, kMStd,
-  kMNormAxisCol, kMNormAxisRow,
-  kMMeanAxisCol, kMMeanAxisRow,
-  kMBroadcastRows, kMBroadcastCols,
-  kMUniform, kMGaussian,
-  // -- extraction / time series --------------------------------------------
-  kGetScalar, kGetRow, kGetColumn,
-  kTsRank,
-  kNumMicroKernels,  // sentinel
-};
-
-inline constexpr int kNumMicroKernels =
-    static_cast<int>(MicroKernelId::kNumMicroKernels);
 
 /// The per-ISA kernel variants this build knows about. Which ones are
 /// actually compiled in is decided at configure time (per-file arch flags;
@@ -117,11 +84,14 @@ struct KernelTable {
   KernelVariant variant = KernelVariant::kScalar;
   const char* name = "scalar";
 
-  /// Fused micro-op kernels, indexed by MicroKernelId.
-  MicroKernelFn micro[kNumMicroKernels] = {};
+  /// Micro-op kernels, indexed by Op — the op table's kernel column. Null
+  /// for the ops that lower to no micro-op: noop and the relation ops.
+  MicroKernelFn micro[kNumOps] = {};
 
-  /// Dense double kernels (the same contracts as core/kernels.h, which
-  /// stays the interpreter's fixed reference implementation).
+  /// Dense double kernels behind m_matmul/m_matvec/m_transpose. Each is
+  /// bit-identical to its naive loop: matmul accumulates every output
+  /// element in q order, matvec keeps each row dot sequential, transpose
+  /// only moves data. `out` must not alias an input.
   void (*matmul)(const double* a, const double* b, double* out, int n) =
       nullptr;
   void (*matvec)(const double* a, const double* x, double* out, int n) =

@@ -1,121 +1,24 @@
 #include "core/opcode.h"
 
-#include <array>
-
 #include "util/check.h"
 
 namespace alphaevolve::core {
 namespace {
 
-constexpr OperandType kNone = OperandType::kNone;
-constexpr OperandType kScalar = OperandType::kScalar;
-constexpr OperandType kVector = OperandType::kVector;
-constexpr OperandType kMatrix = OperandType::kMatrix;
-// Short ImmKind aliases to keep the table readable.
-constexpr ImmKind kImN = ImmKind::kNone;
-constexpr ImmKind kImC = ImmKind::kConst;
-constexpr ImmKind kImC2 = ImmKind::kConst2;
-constexpr ImmKind kImI2 = ImmKind::kIndex2;
-constexpr ImmKind kImI = ImmKind::kIndex;
-constexpr ImmKind kImA = ImmKind::kAxis;
-constexpr ImmKind kImG = ImmKind::kGroup;
-constexpr ImmKind kImW = ImmKind::kWindow;
+// Column vocabulary of core/op_table.inc.
+constexpr OperandType _ = OperandType::kNone;
+constexpr OperandType S = OperandType::kScalar;
+constexpr OperandType V = OperandType::kVector;
+constexpr OperandType M = OperandType::kMatrix;
+enum Flag { Pure, Relation, ReadsM0, Random };
 
 constexpr OpInfo kOpTable[kNumOps] = {
-    // name, out, in1, in2, imm, is_relation, reads_m0, is_random
-    {"noop", kNone, kNone, kNone, kImN, false, false, false},
-    // scalar
-    {"s_const", kScalar, kNone, kNone, kImC, false, false, false},
-    {"s_add", kScalar, kScalar, kScalar, kImN, false, false, false},
-    {"s_sub", kScalar, kScalar, kScalar, kImN, false, false, false},
-    {"s_mul", kScalar, kScalar, kScalar, kImN, false, false, false},
-    {"s_div", kScalar, kScalar, kScalar, kImN, false, false, false},
-    {"s_abs", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_recip", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_sin", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_cos", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_tan", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_arcsin", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_arccos", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_arctan", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_exp", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_log", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_heaviside", kScalar, kScalar, kNone, kImN, false, false, false},
-    {"s_min", kScalar, kScalar, kScalar, kImN, false, false, false},
-    {"s_max", kScalar, kScalar, kScalar, kImN, false, false, false},
-    // vector
-    {"v_const", kVector, kNone, kNone, kImC, false, false, false},
-    {"v_scale", kVector, kVector, kScalar, kImN, false, false, false},
-    {"v_bcast", kVector, kScalar, kNone, kImN, false, false, false},
-    {"v_recip", kVector, kVector, kNone, kImN, false, false, false},
-    {"v_abs", kVector, kVector, kNone, kImN, false, false, false},
-    {"v_add", kVector, kVector, kVector, kImN, false, false, false},
-    {"v_sub", kVector, kVector, kVector, kImN, false, false, false},
-    {"v_mul", kVector, kVector, kVector, kImN, false, false, false},
-    {"v_div", kVector, kVector, kVector, kImN, false, false, false},
-    {"v_min", kVector, kVector, kVector, kImN, false, false, false},
-    {"v_max", kVector, kVector, kVector, kImN, false, false, false},
-    {"v_heaviside", kVector, kVector, kNone, kImN, false, false, false},
-    {"v_dot", kScalar, kVector, kVector, kImN, false, false, false},
-    {"v_outer", kMatrix, kVector, kVector, kImN, false, false, false},
-    {"v_norm", kScalar, kVector, kNone, kImN, false, false, false},
-    {"v_mean", kScalar, kVector, kNone, kImN, false, false, false},
-    {"v_std", kScalar, kVector, kNone, kImN, false, false, false},
-    {"v_uniform", kVector, kNone, kNone, kImC2, false, false, true},
-    {"v_gaussian", kVector, kNone, kNone, kImC2, false, false, true},
-    // matrix
-    {"m_const", kMatrix, kNone, kNone, kImC, false, false, false},
-    {"m_scale", kMatrix, kMatrix, kScalar, kImN, false, false, false},
-    {"m_recip", kMatrix, kMatrix, kNone, kImN, false, false, false},
-    {"m_abs", kMatrix, kMatrix, kNone, kImN, false, false, false},
-    {"m_add", kMatrix, kMatrix, kMatrix, kImN, false, false, false},
-    {"m_sub", kMatrix, kMatrix, kMatrix, kImN, false, false, false},
-    {"m_mul", kMatrix, kMatrix, kMatrix, kImN, false, false, false},
-    {"m_div", kMatrix, kMatrix, kMatrix, kImN, false, false, false},
-    {"m_min", kMatrix, kMatrix, kMatrix, kImN, false, false, false},
-    {"m_max", kMatrix, kMatrix, kMatrix, kImN, false, false, false},
-    {"m_heaviside", kMatrix, kMatrix, kNone, kImN, false, false, false},
-    {"m_matmul", kMatrix, kMatrix, kMatrix, kImN, false, false, false},
-    {"m_matvec", kVector, kMatrix, kVector, kImN, false, false, false},
-    {"m_transpose", kMatrix, kMatrix, kNone, kImN, false, false, false},
-    {"m_norm", kScalar, kMatrix, kNone, kImN, false, false, false},
-    {"m_norm_axis", kVector, kMatrix, kNone, kImA, false, false, false},
-    {"m_mean", kScalar, kMatrix, kNone, kImN, false, false, false},
-    {"m_std", kScalar, kMatrix, kNone, kImN, false, false, false},
-    {"m_mean_axis", kVector, kMatrix, kNone, kImA, false, false, false},
-    {"m_bcast", kMatrix, kVector, kNone, kImA, false, false, false},
-    {"m_uniform", kMatrix, kNone, kNone, kImC2, false, false, true},
-    {"m_gaussian", kMatrix, kNone, kNone, kImC2, false, false, true},
-    // extraction
-    {"get_scalar", kScalar, kNone, kNone, kImI2, false, true, false},
-    {"get_row", kVector, kNone, kNone, kImI, false, true, false},
-    {"get_column", kVector, kNone, kNone, kImI, false, true, false},
-    // time series
-    {"ts_rank", kScalar, kScalar, kNone, kImW, false, false, false},
-    // relation
-    {"rank", kScalar, kScalar, kNone, kImN, true, false, false},
-    {"relation_rank", kScalar, kScalar, kNone, kImG, true, false, false},
-    {"relation_demean", kScalar, kScalar, kNone, kImG, true, false, false},
+#define AE_OP(id, name, out, in1, in2, imm, flag, ...) \
+  {name, out, in1, in2, ImmKind::k##imm, flag == Relation, flag == ReadsM0, \
+   flag == Random},
+#include "core/op_table.inc"
+#undef AE_OP
 };
-
-/// Micro-op lowering table, derived row-for-row from kOpTable.
-constexpr MicroOpInfo MakeMicroOpInfo(Op op, const OpInfo& info) {
-  MicroOpInfo m{};
-  m.fusable = !info.is_relation && op != Op::kNoOp;
-  m.takes_draw_id = info.is_random;
-  return m;
-}
-
-constexpr std::array<MicroOpInfo, kNumOps> BuildMicroTable() {
-  std::array<MicroOpInfo, kNumOps> table{};
-  for (int i = 0; i < kNumOps; ++i) {
-    table[static_cast<size_t>(i)] =
-        MakeMicroOpInfo(static_cast<Op>(i), kOpTable[i]);
-  }
-  return table;
-}
-
-constexpr std::array<MicroOpInfo, kNumOps> kMicroTable = BuildMicroTable();
 
 }  // namespace
 
@@ -123,12 +26,6 @@ const OpInfo& GetOpInfo(Op op) {
   const int i = static_cast<int>(op);
   AE_CHECK(i >= 0 && i < kNumOps);
   return kOpTable[i];
-}
-
-const MicroOpInfo& GetMicroOpInfo(Op op) {
-  const int i = static_cast<int>(op);
-  AE_CHECK(i >= 0 && i < kNumOps);
-  return kMicroTable[static_cast<size_t>(i)];
 }
 
 const char* ComponentName(ComponentId c) {

@@ -25,87 +25,18 @@ enum class ImmKind : uint8_t {
 /// The operation set: AutoML-Zero's scalar/vector/matrix basic math ops
 /// plus the paper's proposed ExtractionOps (GetScalar/GetRow/GetColumn),
 /// RelationOps (Rank/RelationRank/RelationDemean) and a time-series rank.
+/// Generated from the op table (core/op_table.inc), one enumerator per row
+/// in row order; the ordinals are the opcode bytes checkpoints store.
 enum class Op : uint8_t {
-  kNoOp = 0,
-  // -- scalar --------------------------------------------------------------
-  kScalarConst,        ///< s_out = imm0
-  kScalarAdd,          ///< s_out = s_in1 + s_in2
-  kScalarSub,          ///< s_out = s_in1 - s_in2
-  kScalarMul,          ///< s_out = s_in1 * s_in2
-  kScalarDiv,          ///< s_out = s_in1 / s_in2
-  kScalarAbs,          ///< s_out = |s_in1|
-  kScalarReciprocal,   ///< s_out = 1 / s_in1
-  kScalarSin,
-  kScalarCos,
-  kScalarTan,
-  kScalarArcSin,
-  kScalarArcCos,
-  kScalarArcTan,
-  kScalarExp,
-  kScalarLog,
-  kScalarHeaviside,    ///< s_out = s_in1 > 0 ? 1 : 0
-  kScalarMin,
-  kScalarMax,
-  // -- vector --------------------------------------------------------------
-  kVectorConst,        ///< v_out[:] = imm0
-  kVectorScale,        ///< v_out = s_in2 * v_in1
-  kVectorBroadcast,    ///< v_out[:] = s_in1
-  kVectorReciprocal,
-  kVectorAbs,
-  kVectorAdd,
-  kVectorSub,
-  kVectorMul,          ///< elementwise
-  kVectorDiv,          ///< elementwise
-  kVectorMin,
-  kVectorMax,
-  kVectorHeaviside,
-  kVectorDot,          ///< s_out = v_in1 · v_in2
-  kVectorOuter,        ///< m_out = v_in1 ⊗ v_in2
-  kVectorNorm,         ///< s_out = ||v_in1||_2
-  kVectorMean,
-  kVectorStd,
-  kVectorUniform,      ///< v_out ~ U(imm0, imm1)
-  kVectorGaussian,     ///< v_out ~ N(imm0, imm1)
-  // -- matrix --------------------------------------------------------------
-  kMatrixConst,        ///< m_out[:,:] = imm0
-  kMatrixScale,        ///< m_out = s_in2 * m_in1
-  kMatrixReciprocal,
-  kMatrixAbs,
-  kMatrixAdd,
-  kMatrixSub,
-  kMatrixMul,          ///< elementwise (Hadamard)
-  kMatrixDiv,          ///< elementwise
-  kMatrixMin,
-  kMatrixMax,
-  kMatrixHeaviside,
-  kMatrixMatMul,       ///< m_out = m_in1 × m_in2
-  kMatrixVectorProduct,///< v_out = m_in1 · v_in2
-  kMatrixTranspose,
-  kMatrixNorm,         ///< s_out = Frobenius norm
-  kMatrixNormAxis,     ///< v_out = per-row (axis=1) / per-column (axis=0) L2
-  kMatrixMean,         ///< s_out = mean of entries
-  kMatrixStd,          ///< s_out = std of entries
-  kMatrixMeanAxis,     ///< v_out = per-row / per-column means
-  kMatrixBroadcast,    ///< m_out rows (axis=0) or columns (axis=1) = v_in1
-  kMatrixUniform,
-  kMatrixGaussian,
-  // -- ExtractionOps (paper §4.1); all read the input matrix m0 ------------
-  kGetScalar,          ///< s_out = m0[idx0, idx1]
-  kGetRow,             ///< v_out = m0[idx0, :]   (one feature across days)
-  kGetColumn,          ///< v_out = m0[:, idx0]   (all features on one day)
-  // -- time series ----------------------------------------------------------
-  kTsRank,             ///< s_out = rank of s_in1 within its own trailing
-                       ///< history of idx0 days (per task), in [0, 1]
-  // -- RelationOps (paper §4.1); cross-task at the same date ----------------
-  kRank,               ///< s_out = rank of s_in1 among all tasks, in [0, 1]
-  kRelationRank,       ///< rank within the same sector/industry (idx0)
-  kRelationDemean,     ///< s_in1 minus the sector/industry mean (idx0)
-  kNumOps,             // sentinel
+#define AE_OP(id, ...) id,
+#include "core/op_table.inc"
+#undef AE_OP
+  kNumOps,  // sentinel
 };
 
 inline constexpr int kNumOps = static_cast<int>(Op::kNumOps);
 
-/// Static description of an op's type signature.
+/// Static description of an op's type signature: its op-table row.
 struct OpInfo {
   const char* name;
   OperandType out;
@@ -119,25 +50,6 @@ struct OpInfo {
 
 /// Returns the signature of `op` (O(1) table lookup).
 const OpInfo& GetOpInfo(Op op);
-
-/// Fused-path lowering metadata (one row per op, parallel to the OpInfo
-/// table): how `CompileComponent` (core/fused.h) segments a component and
-/// materializes each op into a micro-op. Per-kernel facts (scratch use,
-/// history use, CounterRng index shape) live in the kernels themselves —
-/// this table only carries what the lowerer consults, so it cannot drift
-/// from the kernel implementations.
-struct MicroOpInfo {
-  /// Lowers into a fused segment. True for every element-wise op (touches
-  /// only its own task's memory); false for kNoOp (lowers to nothing) and
-  /// relation ops (cross-task — they terminate a segment instead).
-  bool fusable;
-  /// Needs a fresh serial draw id stamped before every segment execution
-  /// (the random-init ops).
-  bool takes_draw_id;
-};
-
-/// Returns the lowering row of `op` (O(1) table lookup).
-const MicroOpInfo& GetMicroOpInfo(Op op);
 
 /// Program components (paper §2): Setup / Predict / Update.
 enum class ComponentId : uint8_t { kSetup = 0, kPredict = 1, kUpdate = 2 };

@@ -13,6 +13,7 @@
 
 #include "core/dispatch.h"
 #include "core/kernel_table.h"
+#include "core/opcode.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -58,9 +59,12 @@ TEST(DispatchTest, CompiledTablesAreComplete) {
     ASSERT_NE(table, nullptr);
     EXPECT_EQ(table->variant, v);
     EXPECT_STREQ(table->name, KernelVariantName(v));
-    for (int i = 0; i < static_cast<int>(MicroKernelId::kNumMicroKernels);
-         ++i) {
-      EXPECT_NE(table->micro[i], nullptr) << "micro kernel id " << i;
+    // Every op-table row that lowers to a micro-op has a kernel; noop and
+    // the relation ops (which run as group rounds) have none.
+    for (int i = 0; i < kNumOps; ++i) {
+      const Op op = static_cast<Op>(i);
+      const bool lowers = op != Op::kNoOp && !GetOpInfo(op).is_relation;
+      EXPECT_EQ(table->micro[i] != nullptr, lowers) << GetOpInfo(op).name;
     }
     EXPECT_NE(table->matmul, nullptr);
     EXPECT_NE(table->matvec, nullptr);

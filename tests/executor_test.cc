@@ -1,6 +1,7 @@
 #include "core/executor.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "core/generators.h"
 #include "market/features.h"
 #include "test_util.h"
+#include "util/check.h"
 #include "util/stats.h"
 
 namespace alphaevolve::core {
@@ -356,6 +358,53 @@ TEST_F(ExecutorTest, MatrixOpsComposeCorrectly) {
     }
   }
   EXPECT_NEAR(r.valid_preds[0][0], total / (w * w), 1e-9);
+}
+
+TEST_F(ExecutorTest, OperandAddressPastTheLimitsThrows) {
+  // Operand bytes come from outside the process (program text, checkpoint
+  // payloads) and only tests call AlphaProgram::Validate, so the lowering
+  // in front of both execution paths must refuse an address at or past its
+  // kind's limit instead of writing past the task's slice.
+  const ProgramLimits limits;
+  struct Kind {
+    Op op;  ///< out, in1 and in2 all of one operand kind
+    int limit;
+  };
+  const Kind kinds[] = {{Op::kScalarAdd, limits.num_scalars},
+                        {Op::kVectorAdd, limits.num_vectors},
+                        {Op::kMatrixAdd, limits.num_matrices}};
+  for (const bool fuse : {false, true}) {
+    ExecutorConfig cfg;
+    cfg.limits = limits;
+    cfg.fuse_segments = fuse;
+    Executor exec(*dataset_, cfg);
+    for (const Kind& kind : kinds) {
+      for (int slot = 0; slot < 3; ++slot) {
+        SCOPED_TRACE(std::string(GetOpInfo(kind.op).name) + " slot " +
+                     std::to_string(slot) + (fuse ? " fused" : " interpreter"));
+        for (const int addr : {kind.limit - 1, kind.limit}) {
+          Instruction ins = I(kind.op, 2, 2, 2);
+          uint8_t* operand = slot == 0 ? &ins.out : slot == 1 ? &ins.in1
+                                                              : &ins.in2;
+          *operand = static_cast<uint8_t>(addr);
+          AlphaProgram prog;
+          prog.predict = {ins, Const(kPredictionScalar, 0.25)};
+          if (addr < kind.limit) {
+            EXPECT_NO_THROW(exec.Run(prog, 1, false, 2, 2));
+          } else {
+            EXPECT_THROW(exec.Run(prog, 1, false, 2, 2), CheckError);
+          }
+        }
+      }
+    }
+  }
+  // The text format is one way such an address arrives.
+  Executor exec(*dataset_, ExecutorConfig{});
+  const AlphaProgram parsed = AlphaProgram::FromString(
+      "def Setup():\n  noop\ndef Predict():\n  s200 = s_add(s1, s2)\n"
+      "def Update():\n  noop\n");
+  ASSERT_EQ(parsed.predict.at(0).out, 200);
+  EXPECT_THROW(exec.Run(parsed, 1, false, 2, 2), CheckError);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Bit-parity of the fused micro-op kernel path against the reference
-// interpreter. The fused path changes *scheduling only* — lowering, block
-// execution, persistent arena workers — never any per-task FP sequence, so
-// every configuration below must reproduce the interpreter's output
-// bit-for-bit: across a program fuzz (whatever the mutator emits), across
-// {1, 4, 8} threads x {1, 16, 257} shard sizes, across block sizes, with
-// CounterRng random-init ops and with relation ops splitting segments.
-// The blocked matmul kernels get the same treatment against naive loops.
+// interpreter. Both run the same lowering; the fused path differs in loop
+// order (block-at-a-time, persistent arena workers), kernel variant
+// (dispatched SIMD vs scalar) and input refresh (fused fill vs standalone),
+// never in any per-task FP sequence, so every configuration below must
+// reproduce the interpreter's output bit-for-bit: across a program fuzz
+// (whatever the mutator emits), across {1, 4, 8} threads x {1, 16, 257}
+// shard sizes, across block sizes, with CounterRng random-init ops and with
+// relation ops splitting segments.
+// Every runnable variant's dense matmul/matvec/transpose kernels get the same
+// treatment against naive loops. Per-op arithmetic, which both paths share,
+// is pinned by ops_semantics_test.
 
 #include <algorithm>
 #include <cmath>
@@ -21,7 +25,6 @@
 #include "core/dispatch.h"
 #include "core/executor.h"
 #include "core/generators.h"
-#include "core/kernels.h"
 #include "core/mutator.h"
 #include "market/simulator.h"
 #include "util/rng.h"
@@ -274,9 +277,7 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   // host must reproduce the interpreter bit-for-bit on the mutated corpus —
   // the SIMD variants vectorize only across independent output elements, so
   // there is no tolerance, ever. Each variant runs the full {1, 4, 8}
-  // threads x {1, 16, 257} shard matrix with relations lowered in-plan,
-  // plus one barrier-path configuration (relation_in_plan = false) to pin
-  // the two relation execution strategies to each other as well.
+  // threads x {1, 16, 257} shard matrix.
   Mutator mutator{MutatorConfig{}};
   Rng rng(17);
 
@@ -293,13 +294,8 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
                             Executor(*dataset_, cfg));
       }
     }
-    ExecutorConfig barrier = Fused(4, 16);
-    barrier.kernel_variant = vname;
-    barrier.relation_in_plan = false;
-    forced.emplace_back(vname + " barrier t4 s16",
-                        Executor(*dataset_, barrier));
   }
-  ASSERT_GE(forced.size(), 10u);  // scalar always compiles: 9 + 1 minimum
+  ASSERT_GE(forced.size(), 9u);  // scalar always compiles
 
   // MakeStressAlpha keeps all three relation ops in the corpus even when a
   // mutation step rewrites other instructions.
@@ -316,11 +312,10 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   }
 }
 
-TEST_F(FusedParityTest, RelationInPlanMatchesBarrierPath) {
+TEST_F(FusedParityTest, RelationHeavyProgramAcrossVariants) {
   // Relation-heavy shape: back-to-back relations, a relation opening the
   // predict component, and a trailing relation writing the prediction. The
-  // in-plan lowering (gather -> group rank/demean -> scatter inside one
-  // arena round) and the PR 4 barrier path must agree with the interpreter
+  // group-parallel relation rounds must agree with the interpreter
   // bit-for-bit at every fan-out, for every runnable variant.
   AlphaProgram prog;
   prog.predict.push_back(I(Op::kRank, 3, kPredictionScalar));
@@ -343,17 +338,13 @@ TEST_F(FusedParityTest, RelationInPlanMatchesBarrierPath) {
   const ExecutionResult expect = reference.Run(prog, 23);
   ASSERT_TRUE(expect.valid);
   for (const KernelVariant v : RunnableKernelVariants()) {
-    for (const int threads : {1, 8}) {
-      for (const bool in_plan : {true, false}) {
-        SCOPED_TRACE(std::string(KernelVariantName(v)) + " threads=" +
-                     std::to_string(threads) +
-                     (in_plan ? " in-plan" : " barrier"));
-        ExecutorConfig cfg = Fused(threads, 16);
-        cfg.kernel_variant = KernelVariantName(v);
-        cfg.relation_in_plan = in_plan;
-        Executor fused(*dataset_, cfg);
-        ExpectBitIdentical(fused.Run(prog, 23), expect);
-      }
+    for (const int threads : {1, 4, 8}) {
+      SCOPED_TRACE(std::string(KernelVariantName(v)) + " threads=" +
+                   std::to_string(threads));
+      ExecutorConfig cfg = Fused(threads, 16);
+      cfg.kernel_variant = KernelVariantName(v);
+      Executor fused(*dataset_, cfg);
+      ExpectBitIdentical(fused.Run(prog, 23), expect);
     }
   }
 }
@@ -384,7 +375,7 @@ TEST_F(FusedParityTest, EnvThreadCountCannotChangeResults) {
   ExpectBitIdentical(fused.Run(prog, 42), reference.Run(prog, 42));
 }
 
-// ---- blocked dense kernels vs naive reference loops -----------------------
+// ---- every runnable variant's dense kernels vs naive reference loops ----
 
 /// True bitwise comparison (vector operator== fails NaN == NaN even when
 /// the bit patterns agree, and the poisoned inputs below produce NaNs).
@@ -416,9 +407,12 @@ TEST(BlockedKernelsTest, MatMulBitIdenticalToNaive) {
         naive[static_cast<size_t>(i) * n + j] = acc;
       }
     }
-    std::vector<double> blocked(static_cast<size_t>(n) * n);
-    MatMulBlocked(a.data(), b.data(), blocked.data(), n);
-    ExpectSameBits(blocked, naive, n);
+    for (const KernelVariant v : RunnableKernelVariants()) {
+      SCOPED_TRACE(KernelVariantName(v));
+      std::vector<double> out(static_cast<size_t>(n) * n);
+      GetKernelTable(v)->matmul(a.data(), b.data(), out.data(), n);
+      ExpectSameBits(out, naive, n);
+    }
   }
 }
 
@@ -435,9 +429,12 @@ TEST(BlockedKernelsTest, MatVecBitIdenticalToNaive) {
       for (int j = 0; j < n; ++j) acc += a[i * n + j] * x[j];
       naive[static_cast<size_t>(i)] = acc;
     }
-    std::vector<double> fast(static_cast<size_t>(n));
-    MatVecInOrder(a.data(), x.data(), fast.data(), n);
-    ExpectSameBits(fast, naive, n);
+    for (const KernelVariant v : RunnableKernelVariants()) {
+      SCOPED_TRACE(KernelVariantName(v));
+      std::vector<double> out(static_cast<size_t>(n));
+      GetKernelTable(v)->matvec(a.data(), x.data(), out.data(), n);
+      ExpectSameBits(out, naive, n);
+    }
   }
 }
 
@@ -446,12 +443,15 @@ TEST(BlockedKernelsTest, TransposeExact) {
   const int n = 13;
   std::vector<double> a(static_cast<size_t>(n) * n);
   for (double& v : a) v = rng.Gaussian();
-  std::vector<double> t(static_cast<size_t>(n) * n);
-  TransposeInto(a.data(), t.data(), n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      EXPECT_EQ(t[static_cast<size_t>(j) * n + i],
-                a[static_cast<size_t>(i) * n + j]);
+  for (const KernelVariant v : RunnableKernelVariants()) {
+    SCOPED_TRACE(KernelVariantName(v));
+    std::vector<double> t(static_cast<size_t>(n) * n);
+    GetKernelTable(v)->transpose(a.data(), t.data(), n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(t[static_cast<size_t>(j) * n + i],
+                  a[static_cast<size_t>(i) * n + j]);
+      }
     }
   }
 }

@@ -65,6 +65,14 @@ TEST(InstructionTest, ParseRejectsGarbage) {
   EXPECT_THROW(Instruction::FromString("s1 = s_add(s2, s3, s4)"), CheckError);
 }
 
+TEST(InstructionTest, ParseRejectsNumbersPastAByte) {
+  // Each would otherwise wrap modulo 256 onto another, valid operand.
+  EXPECT_THROW(Instruction::FromString("s256 = s_add(s1, s2)"), CheckError);
+  EXPECT_THROW(Instruction::FromString("s1 = s_add(s-1, s2)"), CheckError);
+  EXPECT_THROW(Instruction::FromString("v1 = get_row(m0[300])"), CheckError);
+  EXPECT_EQ(Instruction::FromString("s255 = s_add(s1, s2)").out, 255);
+}
+
 // Round-trip sweep over every op with representative operands.
 class OpRoundTrip : public ::testing::TestWithParam<int> {};
 
